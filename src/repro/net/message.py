@@ -15,36 +15,49 @@ from typing import Any, Iterator, Optional, Type, TypeVar
 
 from ..errors import CodecError
 from ..types import ReplicaId
-from .wire import WireDecoder, WireEncoder, dataclass_fields
+from .wire import RecordSchema, WireDecoder, WireEncoder
 
 T = TypeVar("T")
 
 
 class MessageRegistry:
-    """Maps message type names to dataclass types for codec round-trips."""
+    """Maps message type names to dataclass types for codec round-trips.
+
+    Each registered type is compiled once into a
+    :class:`~repro.net.wire.RecordSchema`, which the codec's record paths
+    encode and decode from without per-object field introspection.
+    """
 
     def __init__(self) -> None:
-        self._by_name: dict[str, type] = {}
-        self._by_type: dict[type, str] = {}
-        # One codec pair per registry: the hooks resolve names dynamically,
-        # so registration after construction is still picked up, and reusing
-        # the encoder keeps its internal bytearray warm across frames.  The
-        # encoder's buffer makes ``encode``/``encode_many`` single-threaded
-        # (like the event loop that calls them); the ``*_into`` variants and
-        # the decoder only touch caller-owned state and are reentrant.
-        self._encoder = WireEncoder(object_hook=self._encode_hook)
-        self._decoder = WireDecoder(object_hook=self._decode_hook)
+        self._by_name: dict[str, RecordSchema] = {}
+        self._by_type: dict[type, RecordSchema] = {}
+        # Decoder record path: schemas by their pre-encoded OBJ header.
+        self._records: dict[bytes, RecordSchema] = {}
+        # One codec pair per registry, sharing the schema tables: they are
+        # read at call time, so registration after construction is still
+        # picked up, and reusing the encoder keeps its internal bytearray
+        # warm across frames.  The encoder's buffer makes
+        # ``encode``/``encode_many`` single-threaded (like the event loop that
+        # calls them); the ``*_into`` variants and the decoder only touch
+        # caller-owned state and are reentrant.  The encoder rejects values
+        # of unregistered types; the decoder's hook builds the objects the
+        # record path leaves to the generic path.
+        self._encoder = WireEncoder(schemas=self._by_type)
+        self._decoder = WireDecoder(object_hook=self._decode_hook, records=self._records)
 
     def register(self, cls: Type[T], name: Optional[str] = None) -> Type[T]:
         """Register *cls* under *name* (defaults to the class name)."""
-        if not dataclasses.is_dataclass(cls):
+        if not dataclasses.is_dataclass(cls) or not isinstance(cls, type):
             raise CodecError(f"only dataclasses can be registered, got {cls!r}")
         key = name or cls.__name__
         existing = self._by_name.get(key)
-        if existing is not None and existing is not cls:
-            raise CodecError(f"message name {key!r} already registered to {existing!r}")
-        self._by_name[key] = cls
-        self._by_type[cls] = key
+        if existing is not None and existing.cls is not cls:
+            raise CodecError(f"message name {key!r} already registered to {existing.cls!r}")
+        schema = RecordSchema(cls, key)
+        self._by_name[key] = schema
+        self._by_type[cls] = schema
+        if schema.positional:
+            self._records[schema.header] = schema
         return cls
 
     def names(self) -> Iterator[str]:
@@ -55,18 +68,11 @@ class MessageRegistry:
 
     # -- codec hooks -------------------------------------------------------
 
-    def _encode_hook(self, value: Any) -> tuple[str, dict[str, Any]]:
-        name = self._by_type.get(type(value))
-        if name is None:
-            raise CodecError(f"unregistered message type {type(value).__name__}")
-        return name, dataclass_fields(value)
-
     def _decode_hook(self, name: str, fields: dict[str, Any]) -> Any:
-        cls = self._by_name.get(name)
-        if cls is None:
+        schema = self._by_name.get(name)
+        if schema is None:
             raise CodecError(f"unknown message type {name!r}")
-        converted = _convert_fields(cls, fields)
-        return cls(**converted)
+        return schema.from_fields(fields)
 
     # -- public encode/decode ----------------------------------------------
 
@@ -98,26 +104,6 @@ class MessageRegistry:
     def encode_many_into(self, buf: bytearray, values: Any) -> int:
         """Append a concatenated value stream to *buf*; returns bytes written."""
         return self._encoder.encode_many_into(buf, values)
-
-
-def _convert_fields(cls: type, fields: dict[str, Any]) -> dict[str, Any]:
-    """Coerce decoded collections back to the declared field container types.
-
-    The wire format does not distinguish tuples from lists; frozen dataclass
-    fields declared as tuples are converted back so equality round-trips.
-    """
-    converted: dict[str, Any] = {}
-    declared = {f.name: f for f in dataclasses.fields(cls)}
-    for key, value in fields.items():
-        field = declared.get(key)
-        if field is None:
-            # Forward compatibility: ignore unknown fields.
-            continue
-        type_repr = str(field.type)
-        if isinstance(value, list) and ("tuple" in type_repr or "Tuple" in type_repr):
-            value = tuple(value)
-        converted[key] = value
-    return converted
 
 
 #: The library-wide registry used by the default transports and logs.

@@ -39,6 +39,11 @@ _LENGTH = struct.Struct(">I")
 #: Upper bound on a single frame; protects against corrupted length prefixes.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
+#: Encoded messages a transport keeps for its broadcasts: a few per peer.
+#: The frames of one broadcast are encoded moments apart, well within this;
+#: more entries only hold more batches in memory.
+ENCODED_CAPACITY = 16
+
 
 def _seal_frame(buf: bytearray) -> bytes:
     """Patch the reserved length prefix at the head of *buf* and freeze it.
@@ -54,21 +59,74 @@ def _seal_frame(buf: bytearray) -> bytes:
     return bytes(buf)
 
 
-def encode_frame(envelope: Envelope, registry: MessageRegistry) -> bytes:
-    """Serialize an envelope into a length-prefixed single-message frame."""
+class EncodedMessages:
+    """A small cache of encoded message bytes, keyed by message identity.
+
+    A broadcast hands the same message object to every peer's frame; with
+    this cache it is encoded once and each frame splices in the bytes.
+    Sharing them is safe because protocol messages are frozen dataclasses.
+    Each entry holds a strong reference to its message, so the ``id`` key
+    cannot be reused while the entry lives; beyond :data:`ENCODED_CAPACITY`
+    entries the oldest is evicted.
+    """
+
+    def __init__(self, registry: MessageRegistry) -> None:
+        self._registry = registry
+        self._entries: dict[int, tuple[Any, bytes]] = {}
+
+    def encoded(self, message: Any) -> bytes:
+        """The registry encoding of *message*, encoded at most once while cached."""
+        entries = self._entries
+        entry = entries.get(id(message))
+        if entry is not None:
+            return entry[1]
+        buf = bytearray()
+        self._registry.encode_into(buf, message)
+        data = bytes(buf)
+        if len(entries) >= ENCODED_CAPACITY:
+            del entries[next(iter(entries))]
+        entries[id(message)] = (message, data)
+        return data
+
+    def clear(self) -> None:
+        self._entries.clear()
+
+
+def encode_frame(
+    envelope: Envelope, registry: MessageRegistry, cache: Optional[EncodedMessages] = None
+) -> bytes:
+    """Serialize an envelope into a length-prefixed single-message frame.
+
+    With a *cache* the message's bytes come from it: the envelope is encoded
+    with a one-byte NONE in the message's place, the last value of the map,
+    and that byte is replaced by the cached encoding.
+    """
     buf = bytearray(_LENGTH.size)
-    registry.encode_into(
-        buf, {"src": envelope.src, "dst": envelope.dst, "message": envelope.message}
-    )
+    if cache is None:
+        registry.encode_into(
+            buf, {"src": envelope.src, "dst": envelope.dst, "message": envelope.message}
+        )
+    else:
+        registry.encode_into(buf, {"src": envelope.src, "dst": envelope.dst, "message": None})
+        buf[-1:] = cache.encoded(envelope.message)
     return _seal_frame(buf)
 
 
-def encode_batch_frame(batch: EnvelopeBatch, registry: MessageRegistry) -> bytes:
-    """Serialize a multi-message envelope into one length-prefixed frame."""
+def encode_batch_frame(
+    batch: EnvelopeBatch, registry: MessageRegistry, cache: Optional[EncodedMessages] = None
+) -> bytes:
+    """Serialize a multi-message envelope into one length-prefixed frame.
+
+    With a *cache* each message's bytes come from it (see :func:`encode_frame`).
+    """
     buf = bytearray(_LENGTH.size)
     header = {"src": batch.src, "dst": batch.dst, "batch": len(batch.messages)}
     registry.encode_into(buf, header)
-    registry.encode_many_into(buf, batch.messages)
+    if cache is None:
+        registry.encode_many_into(buf, batch.messages)
+    else:
+        for message in batch.messages:
+            buf += cache.encoded(message)
     return _seal_frame(buf)
 
 
@@ -159,6 +217,9 @@ class TcpTransport(Transport):
     (``window_us = 0`` — the current event-loop tick) ship as framed
     multi-message envelopes of at most ``max_batch`` messages each, written
     in one ``write()`` call.  Message order per channel is preserved.
+
+    A message sent to several peers is encoded once: frames take its bytes
+    from a bounded :class:`EncodedMessages` cache.
     """
 
     def __init__(
@@ -185,6 +246,7 @@ class TcpTransport(Transport):
         self._senders: dict[ReplicaId, asyncio.Task] = {}
         self._accumulators: dict[ReplicaId, BatchAccumulator[Envelope]] = {}
         self._early: list[Envelope] = []
+        self._encoded = EncodedMessages(self._registry)
         self._closed = False
 
     # -- lifecycle -----------------------------------------------------------
@@ -213,6 +275,7 @@ class TcpTransport(Transport):
 
     async def stop(self) -> None:
         self._closed = True
+        self._encoded.clear()
         for accumulator in self._accumulators.values():
             accumulator.clear()
         for task in self._senders.values():
@@ -229,6 +292,7 @@ class TcpTransport(Transport):
 
     def close(self) -> None:
         self._closed = True
+        self._encoded.clear()
         for accumulator in self._accumulators.values():
             accumulator.clear()
 
@@ -291,9 +355,11 @@ class TcpTransport(Transport):
                 return
             envelopes = queue.popleft()
             if len(envelopes) == 1:
-                frame = encode_frame(envelopes[0], self._registry)
+                frame = encode_frame(envelopes[0], self._registry, self._encoded)
             else:
-                frame = encode_batch_frame(EnvelopeBatch.of(envelopes), self._registry)
+                frame = encode_batch_frame(
+                    EnvelopeBatch.of(envelopes), self._registry, self._encoded
+                )
             try:
                 writer.write(frame)
                 await writer.drain()
@@ -378,6 +444,7 @@ def _split_address(address: str) -> tuple[str, int]:
 
 __all__ = [
     "TcpTransport",
+    "EncodedMessages",
     "encode_frame",
     "encode_batch_frame",
     "decode_frame_body",
@@ -385,4 +452,5 @@ __all__ = [
     "read_frame",
     "read_envelopes",
     "MAX_FRAME_BYTES",
+    "ENCODED_CAPACITY",
 ]

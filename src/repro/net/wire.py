@@ -44,13 +44,39 @@ Implementation notes (the wire hot path):
   object hooks choking on bad fields — surfaces as ``CodecError``, the
   documented contract that lets transport readers treat any decode failure
   as a protocol error instead of dying on a stray ``TypeError``.
+
+Compiled records (the message hot path):
+
+* A registered dataclass type is compiled once into a :class:`RecordSchema`:
+  its field names, which fields are declared as tuples, its pre-encoded
+  ``'O' STR(type-name) 'M' u32(count)`` header, and each field's
+  pre-encoded ``STR(field-name)`` key.  The encoder appends those cached
+  bytes and pushes the field values (``getattr``) onto its work stack; it
+  builds no field dict and encodes no names.  The bytes are exactly what the
+  generic OBJ/MAP encoding of the same value produces.
+* The decoder has a matching *record path*, taken when the input is
+  ``bytes``: when the bytes after an ``'O'`` tag equal a registered header,
+  and each field key equals its cached key bytes, the values are collected
+  positionally and the object is built as ``cls(*values)`` (tuple fields
+  coerced).  Any mismatch — another field count, a renamed or reordered
+  key — drops back to the generic OBJ/MAP path with the values read so far,
+  so the forward-compatible handling of unknown fields is unchanged.
+  ``bytearray`` and ``memoryview`` inputs always take the generic path.
+  The record path keeps the generic path's stack depth (a record frame sits
+  on a placeholder for the OBJ frame it replaces), so ``max_depth`` accepts
+  and rejects the same inputs on both paths.
+* Above the codec, :class:`~repro.net.tcp.TcpTransport` encodes each message
+  once however many peers it goes to: frames splice its bytes from a small
+  bounded cache keyed by message identity, which is sound because protocol
+  messages are frozen dataclasses.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import struct
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Mapping, Optional
 
 from ..errors import CodecError
 
@@ -89,26 +115,107 @@ _TAG_L = 0x4C  # 'L'
 _TAG_M = 0x4D  # 'M'
 _TAG_O = 0x4F  # 'O'
 
+# Stack depth marking a cached, already-encoded chunk (a record's field
+# key) that the encoder appends verbatim.
+_RAW = -1
+
+
+def _str_bytes(text: str) -> bytes:
+    """The STR encoding of *text*."""
+    raw = text.encode("utf-8")
+    return _TAG_U32.pack(_TAG_S, len(raw)) + raw
+
+
+def _declares_tuple(field: dataclasses.Field) -> bool:
+    type_repr = str(field.type)
+    return "tuple" in type_repr or "Tuple" in type_repr
+
+
+class RecordSchema:
+    """A dataclass type compiled once for the codec's record paths.
+
+    Attributes:
+        cls: The dataclass type.
+        name: The type name written on the wire.
+        fields: Field names, in declaration order.
+        header: The pre-encoded ``'O' STR(name) 'M' u32(len(fields))``.
+        keys: The pre-encoded ``STR(field-name)`` of each field, in order.
+        encode_order: ``(field-name, key)`` pairs in reverse order, the order
+            the encoder pushes them onto its work stack.
+        positional: Whether ``cls(*values)`` takes exactly :attr:`fields` in
+            order, which the decoder's record path relies on.
+    """
+
+    __slots__ = (
+        "cls", "name", "fields", "header", "keys", "positional", "encode_order", "_tuples"
+    )
+
+    def __init__(self, cls: type, name: str) -> None:
+        declared = dataclasses.fields(cls)
+        self.cls = cls
+        self.name = name
+        self.fields = tuple(field.name for field in declared)
+        self.header = (
+            bytes((_TAG_O,)) + _str_bytes(name) + _TAG_U32.pack(_TAG_M, len(declared))
+        )
+        self.keys = tuple(_str_bytes(field) for field in self.fields)
+        try:
+            params = list(inspect.signature(cls).parameters.values())
+        except (TypeError, ValueError):
+            params = []
+        self.positional = [p.name for p in params] == list(self.fields) and all(
+            p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params
+        )
+        # The wire does not tell tuples from lists: fields declared as tuples
+        # are coerced back so equality round-trips.
+        self._tuples = tuple(i for i, field in enumerate(declared) if _declares_tuple(field))
+        self.encode_order = tuple(zip(reversed(self.fields), reversed(self.keys)))
+
+    def from_values(self, values: list[Any]) -> Any:
+        """Build an instance from every field value, in declaration order."""
+        for i in self._tuples:
+            if isinstance(values[i], list):
+                values[i] = tuple(values[i])
+        return self.cls(*values)
+
+    def from_fields(self, fields: dict[Any, Any]) -> Any:
+        """Build an instance from a decoded field map.
+
+        Forward compatibility: fields this version does not declare are
+        ignored.
+        """
+        kwargs: dict[str, Any] = {}
+        for key, value in fields.items():
+            if key not in self.fields:
+                continue
+            if isinstance(value, list) and self.fields.index(key) in self._tuples:
+                value = tuple(value)
+            kwargs[key] = value
+        return self.cls(**kwargs)
+
 
 class WireEncoder:
     """Encodes Python values into the wire format.
 
     Args:
-        object_hook: Callback invoked for values that are not primitives; it
-            must return a ``(type_name, field_dict)`` pair or raise
-            :class:`~repro.errors.CodecError`.  The message registry supplies
-            this hook for registered dataclasses.
+        object_hook: Callback invoked for values that are neither primitives
+            nor of a type in *schemas*; it must return a ``(type_name,
+            field_dict)`` pair or raise :class:`~repro.errors.CodecError`.
         max_depth: Container nesting limit (:data:`MAX_DEPTH` by default);
             deeper values raise :class:`~repro.errors.CodecError`.
+        schemas: Compiled records by exact type; the message registry
+            supplies its own, so later registrations are picked up.
     """
 
     def __init__(
         self,
         object_hook: Optional[Callable[[Any], tuple[str, dict[str, Any]]]] = None,
         max_depth: int = MAX_DEPTH,
+        schemas: Optional[Mapping[type, RecordSchema]] = None,
     ) -> None:
         self._object_hook = object_hook
         self._max_depth = max_depth
+        self._schemas = schemas if schemas is not None else {}
         self._buf = bytearray()
 
     def encode(self, value: Any) -> bytes:
@@ -159,14 +266,18 @@ class WireEncoder:
     def _write(self, buf: bytearray, value: Any) -> None:
         # Iterative depth-first encode: the stack holds (value, depth)
         # pairs still to be emitted; container children are pushed in
-        # reverse so they pop in document order.
+        # reverse so they pop in document order.  A record's field keys are
+        # pushed as cached bytes with depth _RAW and appended verbatim.
         max_depth = self._max_depth
+        schemas = self._schemas
         stack: list[tuple[Any, int]] = [(value, 0)]
         pop = stack.pop
         push = stack.append
         while stack:
             value, depth = pop()
-            if value is None:
+            if depth == _RAW:
+                buf += value
+            elif value is None:
                 buf.append(_TAG_N)
             elif value is True:
                 buf.append(_TAG_T)
@@ -240,6 +351,18 @@ class WireEncoder:
                     push((item, child_depth))
                     push((key, child_depth))
             else:
+                schema = schemas.get(type(value))
+                if schema is not None:
+                    # The same bytes as the OBJ/MAP form below, which costs
+                    # two levels: the OBJ and its field MAP.
+                    if depth + 1 >= max_depth:
+                        raise CodecError(f"value nests deeper than max_depth={max_depth}")
+                    buf += schema.header
+                    child_depth = depth + 2
+                    for name, key in schema.encode_order:
+                        push((getattr(value, name), child_depth))
+                        push((key, _RAW))
+                    continue
                 if self._object_hook is None:
                     raise CodecError(
                         f"cannot encode value of type {type(value).__name__}"
@@ -257,25 +380,62 @@ class WireEncoder:
 _F_LIST = 0
 _F_MAP = 1
 _F_OBJ = 2
+_F_REC = 3
+
+# Sits under a record frame in place of the OBJ frame of the generic path,
+# so both paths have the same stack depth; never read.
+_PLACEHOLDER: list[Any] = []
+
+
+def _record_to_generic(stack: list[list[Any]], schema: RecordSchema, values: list[Any]) -> None:
+    """Turn the record frame on top of *stack* into the generic OBJ/MAP pair.
+
+    Called when the next key differs from the schema's: the values read so
+    far become the field map's first entries and the rest of the record is
+    read as a plain MAP.
+    """
+    stack[-2] = [_F_OBJ, [schema.name]]
+    stack[-1] = [
+        _F_MAP,
+        dict(zip(schema.fields, values)),
+        len(schema.fields) - len(values),
+        None,
+        False,
+    ]
+
+
+def _build_record(schema: RecordSchema, values: list[Any]) -> Any:
+    try:
+        return schema.from_values(values)
+    except CodecError:
+        raise
+    except Exception as exc:
+        raise CodecError(f"object hook failed for type {schema.name!r}: {exc}") from exc
 
 
 class WireDecoder:
     """Decodes wire-format bytes back into Python values.
 
     Args:
-        object_hook: Callback invoked for OBJ values; it receives the type
-            name and field dict and must return the reconstructed object.
+        object_hook: Callback invoked for OBJ values that do not take the
+            record path; it receives the type name and field dict and must
+            return the reconstructed object.
         max_depth: Container nesting limit (:data:`MAX_DEPTH` by default);
             deeper input raises :class:`~repro.errors.CodecError`.
+        records: Compiled records by their :attr:`RecordSchema.header`, for
+            the record path; only schemas that are ``positional`` belong
+            here.  The message registry supplies its own.
     """
 
     def __init__(
         self,
         object_hook: Optional[Callable[[str, dict[str, Any]], Any]] = None,
         max_depth: int = MAX_DEPTH,
+        records: Optional[Mapping[bytes, RecordSchema]] = None,
     ) -> None:
         self._object_hook = object_hook
         self._max_depth = max_depth
+        self._records = records if records is not None else {}
 
     def decode(self, data: Any) -> Any:
         """Decode a single value from *data*; trailing bytes are an error.
@@ -287,7 +447,7 @@ class WireDecoder:
         view = memoryview(data)
         try:
             end = len(view)
-            value, pos = self._read(view, 0, end)
+            value, pos = self._read(view, 0, end, self._raw(data))
             if pos != end:
                 raise CodecError(f"trailing garbage after value: {end - pos} bytes")
             return value
@@ -307,8 +467,9 @@ class WireDecoder:
             values: list[Any] = []
             pos = 0
             read = self._read
+            raw = self._raw(data)
             while pos < end:
-                value, pos = read(view, pos, end)
+                value, pos = read(view, pos, end, raw)
                 values.append(value)
             return values
         finally:
@@ -316,7 +477,15 @@ class WireDecoder:
 
     # -- reader ------------------------------------------------------------
 
-    def _read(self, view: memoryview, pos: int, end: int) -> tuple[Any, int]:
+    def _raw(self, data: Any) -> Optional[bytes]:
+        """*data* when the record path applies to it: immutable ``bytes``
+        (whose slices are hashable and whose ``startswith`` matches cached
+        keys in place) and a decoder with records."""
+        return data if type(data) is bytes and self._records else None
+
+    def _read(
+        self, view: memoryview, pos: int, end: int, raw: Optional[bytes]
+    ) -> tuple[Any, int]:
         """Read one value starting at *pos*; returns ``(value, new_pos)``.
 
         Iterative: container frames live on an explicit stack.  A LIST frame
@@ -324,9 +493,12 @@ class WireDecoder:
         remaining, key, have_key]`` (entries are inserted as their pair
         completes, so an unhashable key fails right where it decodes); an
         OBJ frame is ``[kind, children]`` collecting the type name and field
-        map before invoking the object hook.
+        map before invoking the object hook.  A record frame is ``[kind,
+        schema, values]`` over a placeholder; *raw* is the input as
+        ``bytes`` when the record path is on, else ``None``.
         """
         max_depth = self._max_depth
+        records = self._records
         stack: list[list[Any]] = []
         while True:
             # ---- read exactly one leaf, or open a container frame -------
@@ -341,6 +513,37 @@ class WireDecoder:
                     raise CodecError("truncated wire data")
                 value = _I64.unpack_from(view, pos)[0]
                 pos += 8
+            elif tag == _TAG_O:
+                if len(stack) >= max_depth:
+                    raise CodecError(f"input nests deeper than max_depth={max_depth}")
+                schema = None
+                # Record path: the generic path would stack an OBJ and a MAP
+                # frame here, so it needs room for both.
+                if (
+                    raw is not None
+                    and len(stack) + 1 < max_depth
+                    and pos + 5 <= end
+                    and view[pos] == _TAG_S
+                ):
+                    head_end = pos + 10 + _U32.unpack_from(view, pos + 1)[0]
+                    if head_end <= end:
+                        schema = records.get(raw[pos - 1 : head_end])
+                if schema is None:
+                    stack.append([_F_OBJ, []])
+                    have_value = False
+                else:
+                    pos = head_end
+                    if not schema.keys:
+                        value = _build_record(schema, [])
+                    else:
+                        stack.append(_PLACEHOLDER)
+                        stack.append([_F_REC, schema, []])
+                        key = schema.keys[0]
+                        if raw.startswith(key, pos):
+                            pos += len(key)
+                        else:
+                            _record_to_generic(stack, schema, [])
+                        have_value = False
             elif tag == _TAG_S:
                 if pos + 4 > end:
                     raise CodecError("truncated wire data")
@@ -427,11 +630,6 @@ class WireDecoder:
                         )
                     stack.append([_F_MAP, {}, count, None, False])
                     have_value = False
-            elif tag == _TAG_O:
-                if len(stack) >= max_depth:
-                    raise CodecError(f"input nests deeper than max_depth={max_depth}")
-                stack.append([_F_OBJ, []])
-                have_value = False
             else:
                 raise CodecError(f"unknown wire tag {bytes((tag,))!r}")
 
@@ -444,7 +642,22 @@ class WireDecoder:
                     return value, pos
                 frame = stack[-1]
                 kind = frame[0]
-                if kind == _F_LIST:
+                if kind == _F_REC:
+                    values = frame[2]
+                    values.append(value)
+                    schema = frame[1]
+                    keys = schema.keys
+                    if len(values) < len(keys):
+                        key = keys[len(values)]
+                        if raw.startswith(key, pos):
+                            pos += len(key)
+                        else:
+                            _record_to_generic(stack, schema, values)
+                        break  # the next field's value is next
+                    stack.pop()
+                    stack.pop()  # the placeholder
+                    value = _build_record(schema, values)
+                elif kind == _F_LIST:
                     items = frame[1]
                     items.append(value)
                     frame[2] -= 1
@@ -495,24 +708,35 @@ class WireDecoder:
                         ) from exc
 
 
+# The codec behind the module-level functions.  Both are shared safely: the
+# ``*_into`` entry points keep no state between calls and the decoder keeps
+# none at all, so these functions stay reentrant.
+_ENCODER = WireEncoder()
+_DECODER = WireDecoder()
+
+
 def encode(value: Any) -> bytes:
     """Encode a value containing only primitive types."""
-    return WireEncoder().encode(value)
+    buf = bytearray()
+    _ENCODER.encode_into(buf, value)
+    return bytes(buf)
 
 
 def decode(data: Any) -> Any:
     """Decode a value containing only primitive types."""
-    return WireDecoder().decode(data)
+    return _DECODER.decode(data)
 
 
 def encode_many(values: Any) -> bytes:
     """Encode an iterable of primitive-typed values as one stream."""
-    return WireEncoder().encode_many(values)
+    buf = bytearray()
+    _ENCODER.encode_many_into(buf, values)
+    return bytes(buf)
 
 
 def decode_many(data: Any) -> list[Any]:
     """Decode a stream of concatenated primitive-typed values."""
-    return WireDecoder().decode_many(data)
+    return _DECODER.decode_many(data)
 
 
 def dataclass_fields(value: Any) -> dict[str, Any]:
@@ -524,6 +748,7 @@ def dataclass_fields(value: Any) -> dict[str, Any]:
 
 __all__ = [
     "MAX_DEPTH",
+    "RecordSchema",
     "WireEncoder",
     "WireDecoder",
     "encode",

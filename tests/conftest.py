@@ -30,6 +30,12 @@ from repro.net.latency import LatencyMatrix  # noqa: E402
 from tests.helpers import ALL_PROTOCOLS  # noqa: E402
 
 
+def pytest_configure(config: pytest.Config) -> None:
+    config.addinivalue_line(
+        "markers", "slow: a long-running test (deselect with -m 'not slow')"
+    )
+
+
 @pytest.fixture
 def spec3() -> ClusterSpec:
     """Three replicas at the paper's CA/VA/IR sites."""
